@@ -38,8 +38,6 @@ pub struct Transcript {
     pub timed_questions: usize,
     pub turns: usize,
     pub failed: usize,
-    /// Sessions whose first turn fell in the timed phase.
-    pub opens_timed: usize,
     pub fulfilment_timed: usize,
     /// FNV-1a over every reply line, in order.
     pub digest: u64,
@@ -93,15 +91,12 @@ impl Conversation<'_> {
             t.error.get_or_insert(why);
         };
         while !stop(questions) {
-            let (session, opens) = match self.w.shape {
-                Shape::Followup => (format!("c{}", self.conn), t.turns == 0),
+            let session = match self.w.shape {
+                Shape::Followup => format!("c{}", self.conn),
                 Shape::Open => {
-                    (format!("c{}-{}{questions}", self.conn, if timed { 't' } else { 'w' }), true)
+                    format!("c{}-{}{questions}", self.conn, if timed { 't' } else { 'w' })
                 }
             };
-            if timed && opens {
-                t.opens_timed += 1;
-            }
             questions += 1;
             if timed {
                 t.timed_questions = questions;

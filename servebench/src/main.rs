@@ -124,8 +124,8 @@ impl Checks {
 /// Totals over the timed phase of a served run.
 struct Timed {
     turns: usize,
+    questions: usize,
     latencies_ms: Vec<f64>,
-    opens: usize,
     fulfilment: usize,
 }
 
@@ -139,8 +139,8 @@ fn timed(served: &ServedRun) -> Timed {
     let ts = &served.transcripts;
     Timed {
         turns: latencies_ms.len(),
+        questions: ts.iter().map(|t| t.timed_questions).sum(),
         latencies_ms,
-        opens: ts.iter().map(|t| t.opens_timed).sum(),
         fulfilment: ts.iter().map(|t| t.fulfilment_timed).sum(),
     }
 }
@@ -150,22 +150,6 @@ fn completions(wires: &[WireStats]) -> Vec<u32> {
     let mut done: Vec<u32> = wires.iter().flat_map(|w| w.done_us.iter().copied()).collect();
     done.sort_unstable();
     done
-}
-
-/// Throughput in each one-second window of the timed phase: the turns
-/// answered in it, less one, over the time between its first and last
-/// answer. The median of these shrugs off a transient stall that the
-/// whole-run average would absorb.
-fn window_rates(wires: &[WireStats], seconds: u64) -> Vec<f64> {
-    let done = completions(wires);
-    (0..seconds as u32)
-        .filter_map(|s| {
-            let window: Vec<u32> = done.iter().copied().filter(|&us| us / 1_000_000 == s).collect();
-            let span_us = window.last()? - window.first()?;
-            (window.len() >= 2 && span_us > 0)
-                .then(|| (window.len() - 1) as f64 * 1e6 / span_us as f64)
-        })
-        .collect()
 }
 
 /// Timed turns answered in each second, the last entry being the tail
@@ -193,13 +177,23 @@ fn shape_checks(w: &Workload, served: &ServedRun, t: &Timed, checks: &mut Checks
         )
     });
     checks.require(t.turns > 0, || "no timed turns".to_string());
+    checks.0.extend(served.pin_errors.iter().map(|e| format!("pinning: {e}")));
+    checks.require(served.evictions_timed == 0, || {
+        format!("the server evicted {} sessions in the timed phase", served.evictions_timed)
+    });
+    let opens = served.opens_timed as usize;
     match w.shape {
-        Shape::Followup => checks.require(t.opens == 0, || {
-            format!("{} sessions opened in the timed phase of a follow-up workload", t.opens)
+        Shape::Followup => checks.require(opens == 0, || {
+            format!("the server opened {opens} sessions in the timed phase of a follow-up workload")
         }),
-        Shape::Open => checks.require(2 * t.opens > t.turns, || {
-            format!("only {} of {} timed turns are first contacts", t.opens, t.turns)
-        }),
+        Shape::Open => {
+            checks.require(opens == t.questions, || {
+                format!("the server opened {opens} sessions for {} timed questions", t.questions)
+            });
+            checks.require(2 * opens > t.turns, || {
+                format!("only {opens} of {} timed turns are first contacts", t.turns)
+            });
+        }
     }
     if w.name == "followup-15k" {
         checks.require(2 * t.fulfilment > t.turns, || {
@@ -248,7 +242,7 @@ fn end_to_end(
     eprintln!("{}", cache_line(replayed.kb_result, replayed.kb_plan, memo_hits(&base)));
     vec![
         metric("setup_s", median(&served.setup_s), "s"),
-        metric("turns_per_s", median(&window_rates(&served.wires, args.seconds)), "1/s"),
+        metric("turns_per_s", ratio(t.turns as f64, served.timed_wall_s), "1/s"),
         metric("turn_p50_ms", quantile(&t.latencies_ms, 0.50), "ms"),
         metric("turn_p90_ms", quantile(&t.latencies_ms, 0.90), "ms"),
         metric("peak_rss_mb", peak_rss_mb, "MB"),
@@ -287,6 +281,13 @@ fn per_layer(
     // The session layer: `SessionTable::turn` on the workload's threads.
     let tabled = replay::table(w, fresh_base(w), served, seed, &traced.fork_ns);
     checks.same_replies("session-table replay", served, &tabled.transcripts);
+    checks.require((tabled.opens_timed, tabled.evictions_timed) == (served.opens_timed, 0), || {
+        format!(
+            "session-table replay opened {} and evicted {} sessions in the timed phase; \
+             the server opened {}",
+            tabled.opens_timed, tabled.evictions_timed, served.opens_timed
+        )
+    });
 
     // The codec over the captured lines.
     let lines: Vec<&(String, String)> = served.wires.iter().flat_map(|w| &w.lines).collect();
@@ -317,7 +318,7 @@ fn per_layer(
         metric("session.admit_ms_p50", median(&tabled.admit_ms), "ms"),
         metric("session.table_us_p50", median(&tabled.table_us), "us"),
         metric("session.resident_mb", tabled.resident_mb, "MB"),
-        metric("session.opens_timed", t.opens as f64, "count"),
+        metric("session.opens_timed", served.opens_timed as f64, "count"),
         metric("engine.turn_us_mean", us(stage::TURN), "us"),
         metric("engine.self_us_mean", ratio(s.turn_self_ns as f64 / 1e3, turns), "us"),
         metric("nlu.annotate_us_mean", us(stage::ANNOTATE), "us"),
@@ -370,9 +371,10 @@ fn main() -> ExitCode {
     };
     let started = Instant::now();
     let w = args.workload;
+    let mut checks = Checks::default();
     // Set-ups and single-threaded replays run where connection 0 does.
-    if let Some(cpu) = pin::cpu_for(0) {
-        pin::pin(0, cpu);
+    if let Err(e) = pin::pin_for(0, 0) {
+        checks.0.push(format!("pinning the main thread: {e}"));
     }
     let (mut server, served) = served::run(&w, args.seed, args.seconds, args.trace);
     let peak_rss_mb = proc_status_mb("VmHWM");
@@ -380,7 +382,6 @@ fn main() -> ExitCode {
     drop(server);
 
     let t = timed(&served);
-    let mut checks = Checks::default();
     shape_checks(&w, &served, &t, &mut checks);
     let metrics = if args.trace {
         per_layer(&w, args.seed, &served, &t, &mut checks)
@@ -394,13 +395,14 @@ fn main() -> ExitCode {
     let attempted: usize = served.transcripts.iter().map(|t| t.turns).sum();
     let failed: usize = served.transcripts.iter().map(|t| t.failed).sum();
     eprintln!(
-        "{} seed {} trace {}: {} turns ({} timed, {} opened, {} fulfilment) in {:.1}s",
+        "{} seed {} trace {}: {} turns ({} timed, {} sessions opened by the server, {} fulfilment) \
+         in {:.1}s",
         w.name,
         args.seed,
         args.trace as u8,
         attempted,
         t.turns,
-        t.opens,
+        served.opens_timed,
         t.fulfilment,
         started.elapsed().as_secs_f64()
     );

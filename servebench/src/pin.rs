@@ -18,20 +18,23 @@ extern "C" {
     fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
 }
 
+/// The CPUs thread `tid` (0: the calling thread) may run on,
+/// ascending; `None` if the kernel will not say.
+pub fn affinity(tid: i32) -> Option<Vec<usize>> {
+    let mut mask = [0u64; MASK_WORDS];
+    // SAFETY: `mask` is a writable buffer of exactly the size passed; an
+    // unknown `tid` makes the call fail with ESRCH, nothing worse.
+    let rc = unsafe { sched_getaffinity(tid, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
+    (rc == 0).then(|| {
+        (0..MASK_WORDS * 64).filter(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1).collect()
+    })
+}
+
 /// The CPUs the process could run on when this was first called —
 /// before any thread was pinned — ascending; empty if unknown.
 fn allowed() -> &'static [usize] {
     static ALLOWED: OnceLock<Vec<usize>> = OnceLock::new();
-    ALLOWED.get_or_init(|| {
-        let mut mask = [0u64; MASK_WORDS];
-        // SAFETY: `mask` is a writable buffer of exactly the size passed,
-        // and pid 0 names the calling thread.
-        let rc = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
-        if rc != 0 {
-            return Vec::new();
-        }
-        (0..MASK_WORDS * 64).filter(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1).collect()
-    })
+    ALLOWED.get_or_init(|| affinity(0).unwrap_or_default())
 }
 
 /// The CPU connection `conn` runs on.
@@ -40,17 +43,27 @@ pub fn cpu_for(conn: usize) -> Option<usize> {
     (!cpus.is_empty()).then(|| cpus[conn % cpus.len()])
 }
 
-/// Restrict thread `tid` (0: the calling thread) to `cpu`. Returns
-/// whether the kernel accepted it.
-pub fn pin(tid: i32, cpu: usize) -> bool {
+/// Pin thread `tid` (0: the calling thread) to connection `conn`'s CPU;
+/// a no-op where the process's CPUs are unknown.
+pub fn pin_for(tid: i32, conn: usize) -> Result<(), String> {
+    cpu_for(conn).map_or(Ok(()), |cpu| pin(tid, cpu))
+}
+
+/// Restrict thread `tid` (0: the calling thread) to `cpu`, and read
+/// the restriction back; an error names what did not take.
+fn pin(tid: i32, cpu: usize) -> Result<(), String> {
     if cpu >= MASK_WORDS * 64 {
-        return false;
+        return Err(format!("CPU {cpu} is past the affinity mask"));
     }
     let mut mask = [0u64; MASK_WORDS];
     mask[cpu / 64] |= 1 << (cpu % 64);
     // SAFETY: `mask` is a readable buffer of exactly the size passed; an
     // unknown `tid` makes the call fail with ESRCH, nothing worse.
-    unsafe { sched_setaffinity(tid, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
+    let rc = unsafe { sched_setaffinity(tid, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    match affinity(tid) {
+        Some(cpus) if rc == 0 && cpus == [cpu] => Ok(()),
+        got => Err(format!("thread {tid}: pinning to CPU {cpu} left it on {got:?}")),
+    }
 }
 
 /// Thread ids of this process, from `/proc/self/task`.

@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 use obcs_agent::{AgentReply, ConversationAgent};
@@ -53,32 +53,33 @@ fn on_wire(
 
 /// Drive the conversations of the first `conns` connections against the
 /// endpoint `make` builds for each, on `threads` threads (connections
-/// dealt round-robin, thread `t` on connection `t`'s CPU). Returns each
-/// connection's transcript and endpoint, in connection order.
+/// dealt round-robin, thread `t` on connection `t`'s CPU), calling
+/// `between` between each conversation's warm-up and timed phase.
+/// Returns each connection's transcript and endpoint, in connection
+/// order.
 fn drive<E: Endpoint + Send>(
     w: &Workload,
     served: &ServedRun,
     seed: u64,
     (conns, threads): (usize, usize),
     make: impl Fn() -> E + Sync,
+    between: impl Fn() + Sync,
 ) -> Vec<(Transcript, E)> {
     let conns = conns.min(served.transcripts.len());
     let threads = threads.clamp(1, conns.max(1));
-    let make = &make;
+    let (make, between) = (&make, &between);
     let mut parts: Vec<(usize, Transcript, E)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
-                    if let Some(cpu) = pin::cpu_for(t) {
-                        pin::pin(0, cpu);
-                    }
+                    pin::pin_for(0, t).expect("pin a replay thread");
                     (t..conns)
                         .step_by(threads)
                         .map(|conn| {
                             let talk = Conversation { w, conn, pools: &served.pools, seed };
                             let questions = served.transcripts[conn].timed_questions;
                             let mut ep = make();
-                            let transcript = talk.run(&mut ep, || {}, |q| q >= questions);
+                            let transcript = talk.run(&mut ep, between, |q| q >= questions);
                             (conn, transcript, ep)
                         })
                         .collect::<Vec<_>>()
@@ -270,7 +271,7 @@ pub fn forks(
         }
     };
     let mut out = ForkReplay::default();
-    for (transcript, mut ep) in drive(w, served, seed, (conns, threads), make) {
+    for (transcript, mut ep) in drive(w, served, seed, (conns, threads), make, || {}) {
         for (_, agent) in std::mem::take(&mut ep.live) {
             ep.close(agent);
         }
@@ -296,6 +297,9 @@ pub struct TableReplay {
     pub table_us: Vec<f64>,
     /// VmRSS growth per session opened on the fresh table, MiB.
     pub resident_mb: f64,
+    /// Sessions the table opened, and evicted, during the timed phase.
+    pub opens_timed: u64,
+    pub evictions_timed: u64,
 }
 
 struct TableEndpoint<'a> {
@@ -394,8 +398,25 @@ pub fn table(
             out: TableReplay::default(),
         }
     };
-    let mut out = TableReplay { resident_mb, ..TableReplay::default() };
-    for (transcript, ep) in drive(w, served, seed, (w.connections, w.connections), make) {
+    // One thread per connection, so each thread meets `barrier` once;
+    // between its two waits every warm-up is done and no timed turn sent.
+    let barrier = Barrier::new(w.connections);
+    let at_start = Mutex::new((0, 0));
+    let between = || {
+        if barrier.wait().is_leader() {
+            *at_start.lock().expect("counter lock") = (table.opened(), table.evicted());
+        }
+        barrier.wait();
+    };
+    let replayed = drive(w, served, seed, (w.connections, w.connections), make, between);
+    let (opened, evicted) = *at_start.lock().expect("counter lock");
+    let mut out = TableReplay {
+        resident_mb,
+        opens_timed: table.opened() - opened,
+        evictions_timed: table.evicted() - evicted,
+        ..TableReplay::default()
+    };
+    for (transcript, ep) in replayed {
         out.transcripts.push(transcript);
         out.turn_ms.extend(ep.out.turn_ms);
         out.admit_ms.extend(ep.out.admit_ms);

@@ -6,10 +6,9 @@
 //! lines: their digest is the correctness gate, and in a traced run the
 //! lines themselves feed the codec and byte-count figures.
 
-use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Barrier;
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use obcs_mdx::data::MdxDataConfig;
@@ -26,6 +25,14 @@ use crate::workload::Workload;
 pub struct ServedRun {
     pub transcripts: Vec<Transcript>,
     pub wires: Vec<WireStats>,
+    /// Sessions the server opened, and evicted, during the timed phase,
+    /// from its own counters.
+    pub opens_timed: u64,
+    pub evictions_timed: u64,
+    /// From the common start of the timed phase to its last answer.
+    pub timed_wall_s: f64,
+    /// Threads that could not be pinned to their connection's CPU.
+    pub pin_errors: Vec<String>,
     pub build_s: Vec<f64>,
     pub start_s: Vec<f64>,
     pub setup_s: Vec<f64>,
@@ -84,7 +91,7 @@ struct WireEndpoint<'a> {
     wire: Wire,
     /// The common start of the timed phase, set once every connection
     /// has finished its warm-up.
-    start: &'a Cell<Option<Instant>>,
+    start: &'a OnceLock<Instant>,
     capture: bool,
     stats: WireStats,
 }
@@ -134,8 +141,6 @@ impl Endpoint for WireEndpoint<'_> {
 
 struct SetUp {
     server: Server,
-    /// The server's accept thread, whose CPU each new handler inherits.
-    accept_tid: Option<i32>,
     pools: ValuePools,
     kb_rows: usize,
     drug_rows: usize,
@@ -153,17 +158,27 @@ fn set_up(w: &Workload) -> SetUp {
     let kb_rows = kb.table_names().iter().filter_map(|t| kb.table(t).ok()).map(|t| t.len()).sum();
     let drug_rows = kb.table("drug").map_or(0, |t| t.len());
     let pools = ValuePools::from_kb(kb);
-    let before = pin::threads();
     let t1 = Instant::now();
     let server = Server::start(agent, ServeConfig::default()).expect("bind an ephemeral port");
-    let started = t1.elapsed();
-    // The server's only thread so far is its accept loop.
-    let accept_tid = pin::threads().into_iter().find(|t| !before.contains(t));
-    let t2 = Instant::now();
     let first = Wire::connect(server.addr()).expect("handshake with the fresh server");
-    let start_s = (started + t2.elapsed()).as_secs_f64();
+    let start_s = t1.elapsed().as_secs_f64();
     drop(first);
-    SetUp { server, accept_tid, pools, kb_rows, drug_rows, build_s, start_s }
+    SetUp { server, pools, kb_rows, drug_rows, build_s, start_s }
+}
+
+/// Connect connection `conn` and pin the server's handler thread for it
+/// to the connection's CPU. The handler is found as the one thread that
+/// appeared while the handshake was answered; the client thread pins
+/// itself to the same CPU.
+fn connect_pinned(addr: SocketAddr, conn: usize) -> Result<Wire, String> {
+    let before = pin::threads();
+    let wire = Wire::connect(addr)?;
+    let new: Vec<i32> = pin::threads().into_iter().filter(|t| !before.contains(t)).collect();
+    match new[..] {
+        [handler] => pin::pin_for(handler, conn)?,
+        _ => return Err(format!("expected one new server handler thread, found {new:?}")),
+    }
+    Ok(wire)
 }
 
 /// Set up `w.setups` times, keeping the last server, then run warm-up
@@ -184,62 +199,76 @@ pub fn run(w: &Workload, seed: u64, seconds: u64, capture: bool) -> (Server, Ser
     }
     let s = kept.expect("at least one set-up");
 
-    // Connection c's handler inherits the accept thread's CPU at accept
-    // time, so pin the accept thread to c's CPU before each connect.
-    let wires: Vec<Result<Wire, String>> = (0..w.connections)
-        .map(|c| {
-            if let (Some(tid), Some(cpu)) = (s.accept_tid, pin::cpu_for(c)) {
-                pin::pin(tid, cpu);
+    let mut pin_errors = Vec::new();
+    let wires: Vec<Option<Wire>> = (0..w.connections)
+        .map(|c| match connect_pinned(s.server.addr(), c) {
+            Ok(wire) => Some(wire),
+            Err(e) => {
+                pin_errors.push(format!("connection {c}: {e}"));
+                None
             }
-            Wire::connect(s.server.addr())
         })
         .collect();
 
+    // Each connection waits at `barrier` twice between warm-up and the
+    // timed phase; in between, with every warm-up answered and no timed
+    // turn sent, the server's counters and the common start are read.
     let barrier = Barrier::new(w.connections + 1);
+    let start = OnceLock::new();
     let timed = Duration::from_secs(seconds);
     let pools = &s.pools;
-    let results: Vec<(Transcript, WireStats)> = std::thread::scope(|scope| {
+    let (before, results) = std::thread::scope(|scope| {
         let handles: Vec<_> = wires
             .into_iter()
             .enumerate()
             .map(|(conn, wire)| {
-                let barrier = &barrier;
+                let (barrier, start) = (&barrier, &start);
                 scope.spawn(move || {
-                    if let Some(cpu) = pin::cpu_for(conn) {
-                        pin::pin(0, cpu);
-                    }
+                    let pinned = pin::pin_for(0, conn);
                     let talk = Conversation { w, conn, pools, seed };
-                    let wire = match wire {
-                        Ok(wire) => wire,
-                        Err(e) => {
-                            barrier.wait();
-                            let error = Some(format!("connect: {e}"));
-                            return (
-                                Transcript { failed: 1, error, ..Transcript::default() },
-                                WireStats::default(),
-                            );
-                        }
-                    };
-                    let start = Cell::new(None);
-                    let mut ep =
-                        WireEndpoint { wire, start: &start, capture, stats: WireStats::default() };
                     let between = || {
                         barrier.wait();
-                        start.set(Some(Instant::now()));
+                        barrier.wait();
                     };
-                    let stop = |_| start.get().is_some_and(|s: Instant| s.elapsed() >= timed);
+                    let Some(wire) = wire else {
+                        between();
+                        let error = Some("not connected".to_string());
+                        let t = Transcript { failed: 1, error, ..Transcript::default() };
+                        return (t, WireStats::default(), pinned);
+                    };
+                    let mut ep = WireEndpoint { wire, start, capture, stats: WireStats::default() };
+                    let stop = |_| start.get().is_some_and(|s: &Instant| s.elapsed() >= timed);
                     let t = talk.run(&mut ep, between, stop);
-                    (t, ep.stats)
+                    (t, ep.stats, pinned)
                 })
             })
             .collect();
         barrier.wait();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+        let before = s.server.stats();
+        start.set(Instant::now()).expect("the timed phase starts once");
+        barrier.wait();
+        let results: Vec<_> =
+            handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect();
+        (before, results)
     });
-    let (transcripts, wires) = results.into_iter().unzip();
+    let after = s.server.stats();
+    let mut transcripts = Vec::new();
+    let mut wires: Vec<WireStats> = Vec::new();
+    for (conn, (t, wire, pinned)) in results.into_iter().enumerate() {
+        if let Err(e) = pinned {
+            pin_errors.push(format!("client thread of connection {conn}: {e}"));
+        }
+        transcripts.push(t);
+        wires.push(wire);
+    }
+    let last_us = wires.iter().filter_map(|w| w.done_us.iter().max()).max().copied();
     let run = ServedRun {
         transcripts,
         wires,
+        opens_timed: after.sessions_opened - before.sessions_opened,
+        evictions_timed: after.sessions_evicted - before.sessions_evicted,
+        timed_wall_s: last_us.unwrap_or(0) as f64 / 1e6,
+        pin_errors,
         build_s,
         start_s,
         setup_s,

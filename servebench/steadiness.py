@@ -2,12 +2,12 @@
 """Run the benchmark several times per workload and report each metric's
 run-to-run spread next to its bound in BENCHMARK.json.
 
-    python3 servebench/steadiness.py [--runs 10] [--seed 100] [--trace 0] \
-        [--json out.jsonl] [--log runs.log] [workload ...]
+    python3 servebench/steadiness.py [--runs 10] [--seed 100] [workload ...]
 
-Run from the repository root. Run i of a workload uses seed `--seed` + i.
-The spread is the distance between the first and third quartiles of the
-runs' values (statistics.quantiles, n=4) as a share of their median.
+Run from the repository root. Run i of a workload uses seed `--seed` + i
+and `--trace 0`, which reports the end-to-end metrics. The spread is the
+distance between the first and third quartiles of the runs' values
+(statistics.quantiles, n=4) as a share of their median.
 Exits 1 if any run fails or reports `"correct": false`.
 """
 
@@ -24,9 +24,6 @@ def main():
     p = argparse.ArgumentParser()
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=100)
-    p.add_argument("--trace", type=int, default=0)
-    p.add_argument("--json", help="append every run's result line here")
-    p.add_argument("--log", help="append every run's stderr summary here")
     p.add_argument("workloads", nargs="*")
     args = p.parse_args()
     names = args.workloads or [w["name"] for w in spec["workloads"]]
@@ -37,14 +34,11 @@ def main():
         for i in range(args.runs):
             cmd = spec["command"] + [
                 "--workload", name, "--seed", str(args.seed + i),
-                "--seconds", str(spec["run_seconds"]), "--trace", str(args.trace),
+                "--seconds", str(spec["run_seconds"]), "--trace", "0",
             ]
             t0 = time.time()
             run = subprocess.run(cmd, capture_output=True, text=True)
             walls.append(time.time() - t0)
-            if args.log:
-                with open(args.log, "a") as log:
-                    log.write(f"== {name} seed {args.seed + i}: {walls[-1]:.1f} s\n{run.stderr}")
             lines = run.stdout.strip().splitlines()
             if run.returncode != 0 or not lines:
                 print(f"{name} seed {args.seed + i}: exit {run.returncode}\n{run.stderr}")
@@ -53,9 +47,6 @@ def main():
             row = json.loads(lines[-1])
             ok &= row["correct"]
             rows.append(row)
-            if args.json:
-                with open(args.json, "a") as out:
-                    out.write(json.dumps({"workload": name, "seed": args.seed + i, **row}) + "\n")
         if len(rows) < 2:
             continue
         print(f"{name}: {len(rows)} runs, {statistics.median(walls):.0f} s each (median)")
@@ -63,9 +54,8 @@ def main():
             values = [r["metrics"][metric]["value"] for r in rows]
             q1, med, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / med if med else float("inf")
-            bound = bounds.get(metric)
-            note = f"bound {bound:.2f}" if bound is not None else ""
-            print(f"  {metric:28s} median {med:12.4f}  spread {spread:6.3f}  {note}")
+            print(f"  {metric:28s} median {med:12.4f}  spread {spread:6.3f}  "
+                  f"bound {bounds[metric]:.2f}")
     sys.exit(0 if ok else 1)
 
 
